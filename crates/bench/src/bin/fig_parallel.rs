@@ -110,6 +110,16 @@ fn main() {
                     base.cpu_ms as f64 / c.cpu_ms as f64
                 );
             }
+            // Parallelism buys wall clock, not CPU: this is the
+            // speedup that counts.
+            if c.wall_ms > 0 {
+                println!(
+                    "  {} wall speedup at degree {}: {:.2}x",
+                    algo.label(),
+                    degree,
+                    base.wall_ms as f64 / c.wall_ms as f64
+                );
+            }
         }
     }
 

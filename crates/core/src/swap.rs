@@ -62,7 +62,7 @@ impl SwapSim {
         if self.resident.touch(page) {
             return false;
         }
-        self.resident.insert(page);
+        self.resident.insert_absent(page);
         if self.ever_touched.insert(page) {
             // Demand allocation, not a fault.
             false

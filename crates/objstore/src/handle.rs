@@ -7,11 +7,11 @@
 //! dominates cold associative scans. O2 mitigates repeat access by
 //! *delaying* handle destruction "as much as possible".
 //!
-//! [`HandleTable`] models exactly that: a pin-counted live map plus a
-//! bounded delayed-free (zombie) pool. It reports *what happened* on
-//! each operation ([`GetOutcome`], free counts) so the
-//! [`ObjectStore`](crate::store::ObjectStore) can charge the matching
-//! [`CpuEvent`](tq_pagestore::CpuEvent)s:
+//! [`HandleTable`] models exactly that: pin-counted handles plus a
+//! bounded delayed-free (zombie) pool, kept in one rid-keyed map. It
+//! reports *what happened* on each operation ([`GetOutcome`], free
+//! counts) so the [`ObjectStore`](crate::store::ObjectStore) can
+//! charge the matching [`CpuEvent`](tq_pagestore::CpuEvent)s:
 //!
 //! * first get of an object → `HandleAlloc`
 //! * get while live or zombied → `HandleTouch`
@@ -24,7 +24,6 @@
 
 use crate::rid::Rid;
 use tq_fasthash::FxHashMap;
-use tq_pagestore::LruCache;
 
 /// Simulated size of one full object handle (paper §4.4: "the structure
 /// takes 60 Bytes of memory").
@@ -69,13 +68,42 @@ impl HandleStats {
     }
 }
 
+/// "No slot" marker for the intrusive zombie list.
+const NIL: u32 = u32::MAX;
+
+/// One handle: live while `pins > 0`, otherwise a zombie linked into
+/// the delayed-free LRU list through `prev`/`next`.
+#[derive(Clone)]
+struct Slot {
+    rid: Rid,
+    pins: u32,
+    prev: u32,
+    next: u32,
+}
+
 /// The handle table: pin-counted live handles plus a delayed-free pool.
+///
+/// One map from rid to a slab slot holds both live handles and zombies
+/// (a zombie is a slot with zero pins, threaded on an intrusive LRU
+/// list), so every object access is a single hash probe: `get` is one
+/// `entry` lookup, and [`HandleTable::unref_slot`] releases by slot
+/// index without probing at all. Only a real free (a pool eviction or
+/// a drain) removes a key.
 #[derive(Clone)]
 pub struct HandleTable {
-    /// Pin counts by rid. Touched on every object access — FxHash, the
-    /// same reasoning as the LRU key maps.
-    live: FxHashMap<Rid, u32>,
-    zombies: LruCache<Rid>,
+    /// Slot index by rid, for live handles and zombies alike. Touched
+    /// on every object access — FxHash, the same reasoning as the LRU
+    /// key maps.
+    map: FxHashMap<Rid, u32>,
+    slab: Vec<Slot>,
+    /// Recycled slab slots.
+    free: Vec<u32>,
+    /// Most recently unpinned zombie.
+    head: u32,
+    /// Least recently unpinned zombie: the next eviction victim.
+    tail: u32,
+    zombies: usize,
+    zombie_capacity: usize,
     stats: HandleStats,
 }
 
@@ -90,35 +118,100 @@ impl HandleTable {
     /// `zombie_capacity` unpinned handles before real frees happen.
     pub fn new(zombie_capacity: usize) -> Self {
         Self {
-            live: FxHashMap::default(),
-            zombies: LruCache::new(zombie_capacity),
+            map: FxHashMap::default(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            zombies: 0,
+            zombie_capacity,
             stats: HandleStats::default(),
         }
     }
 
-    fn note_peak(&mut self) {
-        let now = (self.live.len() + self.zombies.len()) as u64;
-        if now > self.stats.peak_handles {
-            self.stats.peak_handles = now;
+    fn unlink(&mut self, idx: u32) {
+        let (prev, next) = {
+            let s = &self.slab[idx as usize];
+            (s.prev, s.next)
+        };
+        if prev != NIL {
+            self.slab[prev as usize].next = next;
+        } else {
+            self.head = next;
         }
+        if next != NIL {
+            self.slab[next as usize].prev = prev;
+        } else {
+            self.tail = prev;
+        }
+    }
+
+    fn push_front(&mut self, idx: u32) {
+        let old_head = self.head;
+        {
+            let s = &mut self.slab[idx as usize];
+            s.prev = NIL;
+            s.next = old_head;
+        }
+        if old_head != NIL {
+            self.slab[old_head as usize].prev = idx;
+        } else {
+            self.tail = idx;
+        }
+        self.head = idx;
     }
 
     /// Pins `rid`, reporting how the handle was obtained.
     pub fn get(&mut self, rid: Rid) -> GetOutcome {
-        if let Some(pins) = self.live.get_mut(&rid) {
-            *pins += 1;
-            self.stats.touches += 1;
-            return GetOutcome::Touched;
+        self.get_slot(rid).0
+    }
+
+    /// Pins `rid` and also returns its slot, which
+    /// [`HandleTable::unref_slot`] takes back to release the pin
+    /// without a lookup. The slot stays valid while the pin is held.
+    pub fn get_slot(&mut self, rid: Rid) -> (GetOutcome, u32) {
+        use std::collections::hash_map::Entry;
+        match self.map.entry(rid) {
+            Entry::Occupied(e) => {
+                let idx = *e.get();
+                let slot = &mut self.slab[idx as usize];
+                if slot.pins > 0 {
+                    slot.pins += 1;
+                    self.stats.touches += 1;
+                    return (GetOutcome::Touched, idx);
+                }
+                slot.pins = 1;
+                self.unlink(idx);
+                self.zombies -= 1;
+                self.stats.revivals += 1;
+                (GetOutcome::Revived, idx)
+            }
+            Entry::Vacant(e) => {
+                let slot = Slot {
+                    rid,
+                    pins: 1,
+                    prev: NIL,
+                    next: NIL,
+                };
+                let idx = match self.free.pop() {
+                    Some(idx) => {
+                        self.slab[idx as usize] = slot;
+                        idx
+                    }
+                    None => {
+                        self.slab.push(slot);
+                        u32::try_from(self.slab.len() - 1).expect("under 2^32 handles")
+                    }
+                };
+                e.insert(idx);
+                self.stats.allocations += 1;
+                let now = self.map.len() as u64;
+                if now > self.stats.peak_handles {
+                    self.stats.peak_handles = now;
+                }
+                (GetOutcome::Allocated, idx)
+            }
         }
-        if self.zombies.remove(&rid) {
-            self.live.insert(rid, 1);
-            self.stats.revivals += 1;
-            return GetOutcome::Revived;
-        }
-        self.live.insert(rid, 1);
-        self.stats.allocations += 1;
-        self.note_peak();
-        GetOutcome::Allocated
     }
 
     /// Drops one pin. When the pin count reaches zero the handle moves
@@ -128,55 +221,89 @@ impl HandleTable {
     /// Panics on unref of a handle that was never pinned: that is a
     /// query-operator bug, not a data condition.
     pub fn unref(&mut self, rid: Rid) -> u64 {
-        self.stats.unrefs += 1;
-        let pins = self
-            .live
-            .get_mut(&rid)
+        match self.map.get(&rid) {
+            Some(&idx) => self.unref_slot(idx, rid),
+            None => panic!("unref of unpinned handle {rid:?}"),
+        }
+    }
+
+    /// [`HandleTable::unref`] for a pin taken by
+    /// [`HandleTable::get_slot`]: releases by slot, with no lookup.
+    ///
+    /// Panics unless `slot` still holds a pinned handle for `rid`.
+    pub fn unref_slot(&mut self, idx: u32, rid: Rid) -> u64 {
+        let slot = self
+            .slab
+            .get_mut(idx as usize)
+            .filter(|s| s.rid == rid && s.pins > 0)
             .unwrap_or_else(|| panic!("unref of unpinned handle {rid:?}"));
-        *pins -= 1;
-        if *pins > 0 {
+        self.stats.unrefs += 1;
+        slot.pins -= 1;
+        if slot.pins > 0 {
             return 0;
         }
-        self.live.remove(&rid);
-        if self.zombies.capacity() == 0 {
+        if self.zombie_capacity == 0 {
+            self.map.remove(&rid);
+            self.free.push(idx);
             self.stats.frees += 1;
             return 1;
         }
-        match self.zombies.insert(rid) {
-            Some(_evicted) => {
-                self.stats.frees += 1;
-                self.note_peak();
-                1
-            }
-            None => {
-                self.note_peak();
-                0
-            }
-        }
+        let freed = if self.zombies == self.zombie_capacity {
+            let victim = self.tail;
+            self.unlink(victim);
+            self.map.remove(&self.slab[victim as usize].rid);
+            self.free.push(victim);
+            self.stats.frees += 1;
+            1
+        } else {
+            self.zombies += 1;
+            0
+        };
+        self.push_front(idx);
+        freed
     }
 
     /// Tears down every unpinned handle (end of query / transaction).
     /// Returns the number of frees performed.
     pub fn drain_zombies(&mut self) -> u64 {
-        let n = self.zombies.len() as u64;
-        self.zombies.clear();
+        let n = self.zombies as u64;
+        if self.map.len() == self.zombies {
+            // Nothing pinned: the whole table is the pool.
+            self.map.clear();
+            self.slab.clear();
+            self.free.clear();
+        } else {
+            let mut at = self.head;
+            while at != NIL {
+                let slot = &self.slab[at as usize];
+                let next = slot.next;
+                self.map.remove(&slot.rid);
+                self.free.push(at);
+                at = next;
+            }
+        }
+        self.head = NIL;
+        self.tail = NIL;
+        self.zombies = 0;
         self.stats.frees += n;
         n
     }
 
     /// Currently pinned handles.
     pub fn live_count(&self) -> usize {
-        self.live.len()
+        self.map.len() - self.zombies
     }
 
     /// Handles parked in the delayed-free pool.
     pub fn zombie_count(&self) -> usize {
-        self.zombies.len()
+        self.zombies
     }
 
     /// True if `rid` currently has a pinned handle.
     pub fn is_pinned(&self, rid: Rid) -> bool {
-        self.live.contains_key(&rid)
+        self.map
+            .get(&rid)
+            .is_some_and(|&idx| self.slab[idx as usize].pins > 0)
     }
 
     /// Statistics so far.
@@ -186,7 +313,7 @@ impl HandleTable {
 
     /// Simulated bytes of handle memory right now.
     pub fn current_bytes(&self) -> u64 {
-        (self.live.len() + self.zombies.len()) as u64 * HANDLE_BYTES
+        self.map.len() as u64 * HANDLE_BYTES
     }
 }
 
@@ -252,6 +379,28 @@ mod tests {
     fn unref_without_get_panics() {
         let mut t = HandleTable::new(4);
         t.unref(rid(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "unref of unpinned handle")]
+    fn unref_slot_after_release_panics() {
+        let mut t = HandleTable::new(0);
+        let (_, slot) = t.get_slot(rid(1));
+        t.unref_slot(slot, rid(1));
+        // The slot is free now (and may be reused for another rid).
+        t.get(rid(2));
+        t.unref_slot(slot, rid(1));
+    }
+
+    #[test]
+    fn revival_keeps_the_slot() {
+        let mut t = HandleTable::new(4);
+        let (_, slot) = t.get_slot(rid(3));
+        assert_eq!(t.unref_slot(slot, rid(3)), 0);
+        assert_eq!(t.get_slot(rid(3)), (GetOutcome::Revived, slot));
+        assert_eq!(t.get_slot(rid(3)), (GetOutcome::Touched, slot));
+        assert_eq!(t.live_count(), 1);
+        assert_eq!(t.zombie_count(), 0);
     }
 
     #[test]

@@ -331,8 +331,22 @@ pub fn decode_into(
     }
     for (i, attr) in class_def.attrs.iter().enumerate() {
         match attr.ty {
-            AttrType::Int => set_slot(&mut out.values, i, Value::Int(r.i32()?)),
-            AttrType::Char => set_slot(&mut out.values, i, Value::Char(r.u8()?)),
+            // Scalars overwrite a same-variant slot in place: assigning
+            // a whole `Value` would run its drop glue first.
+            AttrType::Int => {
+                let v = r.i32()?;
+                match out.values.get_mut(i) {
+                    Some(Value::Int(old)) => *old = v,
+                    _ => set_slot(&mut out.values, i, Value::Int(v)),
+                }
+            }
+            AttrType::Char => {
+                let v = r.u8()?;
+                match out.values.get_mut(i) {
+                    Some(Value::Char(old)) => *old = v,
+                    _ => set_slot(&mut out.values, i, Value::Char(v)),
+                }
+            }
             AttrType::Str => {
                 let len = r.u16()? as usize;
                 let s = std::str::from_utf8(r.take(len)?)
@@ -351,7 +365,13 @@ pub fn decode_into(
                     }
                 }
             }
-            AttrType::Ref(_) => set_slot(&mut out.values, i, Value::Ref(r.rid()?)),
+            AttrType::Ref(_) => {
+                let v = r.rid()?;
+                match out.values.get_mut(i) {
+                    Some(Value::Ref(old)) => *old = v,
+                    _ => set_slot(&mut out.values, i, Value::Ref(v)),
+                }
+            }
             AttrType::SetRef(_) => match r.u8()? {
                 0 => {
                     let n = r.u16()? as usize;

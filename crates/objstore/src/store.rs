@@ -66,6 +66,8 @@ pub struct Fetched {
     pub rid: Rid,
     /// The decoded object.
     pub object: Object,
+    /// Handle-table slot of the pin, so the release needs no lookup.
+    slot: u32,
 }
 
 /// An RAII fetch: a pinned handle that *must* go back through
@@ -82,6 +84,7 @@ pub struct Fetched {
 #[derive(Debug)]
 pub struct ObjGuard {
     rid: Rid,
+    slot: u32,
     /// `Some` while the pin is armed; taken by
     /// [`ObjectStore::release_guard`].
     object: Option<Object>,
@@ -126,6 +129,8 @@ impl Drop for ObjGuard {
 pub struct ObjBatch {
     /// Canonical (post-forwarding) rids of the armed entries.
     rids: Vec<Rid>,
+    /// Handle-table slots of the armed entries' pins.
+    slots: Vec<u32>,
     /// Shell pool; the first `rids.len()` hold armed objects, the rest
     /// are spares from earlier, larger batches.
     shells: Vec<Object>,
@@ -325,16 +330,24 @@ impl ObjectStore {
                 .unwrap_or_else(|e| panic!("corrupt record at {rid:?}: {e:?}"));
             break rid;
         };
-        match self.handles.get(canonical) {
+        let slot = self.pin(canonical);
+        Fetched {
+            rid: canonical,
+            object,
+            slot,
+        }
+    }
+
+    /// Pins the handle of a resolved object and charges the get.
+    fn pin(&mut self, rid: Rid) -> u32 {
+        let (outcome, slot) = self.handles.get_slot(rid);
+        match outcome {
             GetOutcome::Allocated => self.stack.charge(CpuEvent::HandleAlloc, 1),
             GetOutcome::Touched | GetOutcome::Revived => {
                 self.stack.charge(CpuEvent::HandleTouch, 1)
             }
         }
-        Fetched {
-            rid: canonical,
-            object,
-        }
+        slot
     }
 
     /// Unpins the handle and recycles the object's allocations for the
@@ -342,7 +355,7 @@ impl ObjectStore {
     /// `unref(f.rid)` followed by dropping `f` — scan and join loops
     /// use this so a paper-scale pass stays off the allocator.
     pub fn release(&mut self, f: Fetched) {
-        self.unref(f.rid);
+        self.unref_slot(f.slot, f.rid);
         if self.spare.len() < OBJECT_POOL_CAP {
             self.spare.push(f.object);
         }
@@ -355,6 +368,7 @@ impl ObjectStore {
         let f = self.fetch(rid);
         ObjGuard {
             rid: f.rid,
+            slot: f.slot,
             object: Some(f.object),
         }
     }
@@ -363,8 +377,8 @@ impl ObjectStore {
     /// shell, exactly like [`ObjectStore::release`].
     pub fn release_guard(&mut self, mut guard: ObjGuard) {
         let object = guard.object.take().expect("guard already released");
-        let rid = guard.rid;
-        self.release(Fetched { rid, object });
+        let (rid, slot) = (guard.rid, guard.slot);
+        self.release(Fetched { rid, object, slot });
     }
 
     /// Fetches `rid`, runs `f` with the guarded object, and releases —
@@ -392,6 +406,7 @@ impl ObjectStore {
     pub fn fetch_batch(&mut self, rids: &[Rid], out: &mut ObjBatch) {
         debug_assert!(out.is_empty(), "fetch_batch into an armed ObjBatch");
         out.rids.clear();
+        out.slots.clear();
         for (i, &rid) in rids.iter().enumerate() {
             if out.shells.len() <= i {
                 out.shells.push(self.spare.pop().unwrap_or_else(|| Object {
@@ -419,13 +434,9 @@ impl ObjectStore {
                     break rid;
                 }
             };
-            match self.handles.get(canonical) {
-                GetOutcome::Allocated => self.stack.charge(CpuEvent::HandleAlloc, 1),
-                GetOutcome::Touched | GetOutcome::Revived => {
-                    self.stack.charge(CpuEvent::HandleTouch, 1)
-                }
-            }
+            let slot = self.pin(canonical);
             out.rids.push(canonical);
+            out.slots.push(slot);
         }
         #[cfg(debug_assertions)]
         {
@@ -447,15 +458,25 @@ impl ObjectStore {
     /// shells stay in the arena for the next batch.
     pub fn release_batch(&mut self, batch: &mut ObjBatch) {
         for i in 0..batch.rids.len() {
-            let rid = batch.rids[i];
-            self.unref(rid);
+            self.unref_slot(batch.slots[i], batch.rids[i]);
         }
         batch.rids.clear();
+        batch.slots.clear();
     }
 
     /// Unpins a handle previously pinned by [`ObjectStore::fetch`].
     pub fn unref(&mut self, rid: Rid) {
         let frees = self.handles.unref(rid);
+        self.charge_unref(frees);
+    }
+
+    /// [`ObjectStore::unref`] by handle-table slot: no lookup.
+    fn unref_slot(&mut self, slot: u32, rid: Rid) {
+        let frees = self.handles.unref_slot(slot, rid);
+        self.charge_unref(frees);
+    }
+
+    fn charge_unref(&mut self, frees: u64) {
         self.stack.charge(CpuEvent::HandleUnref, 1);
         if frees > 0 {
             self.stack.charge(CpuEvent::HandleFree, frees);

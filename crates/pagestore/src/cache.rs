@@ -11,7 +11,9 @@
 //! key to slab index (keyed with the vendored
 //! [`FxHasher`](tq_fasthash::FxHasher) — the map is the hottest lookup
 //! in the whole simulator, touched twice per simulated page access).
-//! `touch`, `insert` and eviction are all O(1).
+//! `touch`, `insert` and eviction are all O(1); callers that have just
+//! seen a key miss admit it with [`LruCache::insert_absent`], which
+//! skips the repeat probe.
 
 use std::hash::Hash;
 use tq_fasthash::{FxBuildHasher, FxHashMap};
@@ -137,6 +139,17 @@ impl<K: Eq + Hash + Copy> LruCache<K> {
         if self.touch(key) {
             return None;
         }
+        self.insert_absent(key)
+    }
+
+    /// [`LruCache::insert`] for a key the caller has just seen miss
+    /// (a `touch` that returned `false`, with no mutation since):
+    /// skips the residency probe that `insert` would repeat. The
+    /// result — eviction victim and recency order — is identical.
+    ///
+    /// Inserting a resident key through this breaks the cache's
+    /// invariants; debug builds check.
+    pub fn insert_absent(&mut self, key: K) -> Option<K> {
         if self.capacity == 0 {
             return None;
         }
@@ -165,7 +178,8 @@ impl<K: Eq + Hash + Copy> LruCache<K> {
             }
         };
         self.push_front(idx);
-        self.map.insert(key, idx);
+        let previous = self.map.insert(key, idx);
+        debug_assert!(previous.is_none(), "insert_absent of a resident key");
         evicted
     }
 

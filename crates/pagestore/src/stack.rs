@@ -211,18 +211,19 @@ impl StorageStack {
     /// read I/O is charged.
     pub fn allocate_page(&mut self, file: FileId) -> PageId {
         let pid = self.disk.allocate_page(file);
-        self.admit_client(pid);
+        let evicted = self.client.insert(pid);
+        self.write_back(evicted);
         self.server.insert(pid);
         self.dirty.insert(pid);
         pid
     }
 
-    fn admit_client(&mut self, pid: PageId) {
-        if let Some(evicted) = self.client.insert(pid) {
-            // Evicting a dirty page forces a write-back through the
-            // server to disk. The page's bytes were already mutated in
-            // place, so only the write is recorded — materializing the
-            // page here would defeat copy-on-write sharing.
+    /// Handles a client-cache eviction. Evicting a dirty page forces
+    /// a write-back through the server to disk. The page's bytes were
+    /// already mutated in place, so only the write is recorded —
+    /// materializing the page here would defeat copy-on-write sharing.
+    fn write_back(&mut self, evicted: Option<PageId>) {
+        if let Some(evicted) = evicted {
             if self.dirty.remove(&evicted) {
                 self.disk.record_write(evicted);
                 self.stats.pages_written += 1;
@@ -232,7 +233,9 @@ impl StorageStack {
     }
 
     /// Ensures `pid` is resident in the client cache, charging RPC and
-    /// disk time as needed.
+    /// disk time as needed. A miss admits the page with
+    /// [`LruCache::insert_absent`] on each tier it missed: the `touch`
+    /// just probed for it.
     fn fault_in(&mut self, pid: PageId) {
         if self.client.touch(pid) {
             self.stats.client_hits += 1;
@@ -251,12 +254,13 @@ impl StorageStack {
             let _ = self.disk.read(pid); // keep the disk's own counter in sync
             self.stats.d2sc_read_pages += 1;
             self.last_disk_read = Some(pid);
-            self.server.insert(pid);
+            self.server.insert_absent(pid);
         }
         // Ship server → client.
         self.clock.charge_rpc(&self.model);
         self.stats.sc2cc_read_pages += 1;
-        self.admit_client(pid);
+        let evicted = self.client.insert_absent(pid);
+        self.write_back(evicted);
     }
 
     /// Reads a page through the cache hierarchy.

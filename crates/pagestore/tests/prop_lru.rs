@@ -9,19 +9,22 @@ use tq_simrng::SimRng;
 enum Op {
     Touch(u8),
     Insert(u8),
+    /// A touch and, on a miss, `insert_absent` — the storage stack's
+    /// fault-in pattern.
+    Admit(u8),
     Remove(u8),
     Clear,
 }
 
-/// Weighted op mix mirroring the original strategy: 3 touch : 4 insert
-/// : 1 remove : 1 clear, keys confined to 0..32 so collisions are
-/// common.
+/// Weighted op mix: 3 touch : 4 insert : 3 admit : 1 remove : 1
+/// clear, keys confined to 0..32 so collisions are common.
 fn random_op(rng: &mut SimRng) -> Op {
     let k = (rng.next_u32() % 32) as u8;
-    match rng.below(9) {
+    match rng.below(12) {
         0..=2 => Op::Touch(k),
         3..=6 => Op::Insert(k),
-        7 => Op::Remove(k),
+        7..=9 => Op::Admit(k),
+        10 => Op::Remove(k),
         _ => Op::Clear,
     }
 }
@@ -81,6 +84,16 @@ fn lru_matches_model() {
             match random_op(&mut rng) {
                 Op::Touch(k) => assert_eq!(lru.touch(k), model.touch(k)),
                 Op::Insert(k) => assert_eq!(lru.insert(k), model.insert(k)),
+                Op::Admit(k) => {
+                    let hit = lru.touch(k);
+                    if hit {
+                        assert!(model.touch(k));
+                    } else {
+                        // `insert` after a miss: the model's own touch
+                        // misses too, then it inserts.
+                        assert_eq!(lru.insert_absent(k), model.insert(k));
+                    }
+                }
                 Op::Remove(k) => assert_eq!(lru.remove(&k), model.remove(k)),
                 Op::Clear => {
                     lru.clear();

@@ -167,3 +167,88 @@ fn oql_errors_are_reported() {
         assert!(err.contains(needle), "{text}: {err}");
     }
 }
+
+/// One cold join cell's counter fingerprint: the eight `IoStats`
+/// counters, the query's five handle-traffic counters (allocations,
+/// touches, revivals, unrefs, frees), the simulated nanoseconds and
+/// the result count.
+fn cell_fingerprint(
+    d: &mut Database,
+    algo: JoinAlgo,
+    child_pct: u32,
+    parent_pct: u32,
+) -> [u64; 15] {
+    let k1 = d.patient_selectivity_key(child_pct);
+    let k2 = d.provider_selectivity_key(parent_pct);
+    let text = format!(
+        "select [p.name, pa.age] from p in Providers, pa in p.clients \
+         where pa.mrn < {k1} and p.upin < {k2}"
+    );
+    let before = d.store.handle_stats();
+    let pairs = run_compiled_join(d, algo, &text);
+    let h = d.store.handle_stats();
+    let s = d.store.stats();
+    [
+        s.d2sc_read_pages,
+        s.sc2cc_read_pages,
+        s.client_hits,
+        s.client_misses,
+        s.server_hits,
+        s.server_misses,
+        s.pages_written,
+        s.log_pages_written,
+        h.allocations - before.allocations,
+        h.touches - before.touches,
+        h.revivals - before.revivals,
+        h.unrefs - before.unrefs,
+        h.frees - before.frees,
+        d.store.clock().elapsed(),
+        pairs.len() as u64,
+    ]
+}
+
+/// Counter identity: the exact I/O, handle and simulated-time figures
+/// of the four algorithms at the grid's two extreme cells, on both
+/// database shapes. At 1/100 scale both caches (81 client pages, 10
+/// server pages) and the 4096-handle delayed-free pool evict, so any
+/// change to cache residency, handle bookkeeping or charging moves a
+/// number here. The figures were recorded on the single-probe engine's
+/// predecessor and must never drift: host-side speedups keep the
+/// simulated output byte-identical.
+#[test]
+fn join_counters_are_pinned() {
+    #[rustfmt::skip]
+    const EXPECTED: [(DbShape, JoinAlgo, u32, u32, [u64; 15]); 16] = [
+        (DbShape::Db1, JoinAlgo::Nl, 10, 90, [5716, 5716, 28543, 5716, 0, 5716, 0, 0, 17138, 0, 0, 17138, 17138, 53429246000, 1716]),
+        (DbShape::Db1, JoinAlgo::Nl, 90, 10, [600, 600, 2373, 600, 0, 600, 0, 0, 1487, 0, 0, 1487, 1487, 5912004000, 1335]),
+        (DbShape::Db1, JoinAlgo::Nojoin, 10, 90, [45, 45, 3686, 45, 0, 45, 0, 0, 1881, 0, 1841, 3722, 1881, 1334796400, 1716]),
+        (DbShape::Db1, JoinAlgo::Nojoin, 90, 10, [381, 381, 33192, 381, 0, 381, 0, 0, 16772, 0, 16732, 33504, 16772, 7906616500, 1335]),
+        (DbShape::Db1, JoinAlgo::Phj, 10, 90, [46, 46, 1843, 46, 0, 46, 0, 0, 1879, 0, 0, 1879, 1879, 954447000, 1716]),
+        (DbShape::Db1, JoinAlgo::Phj, 90, 10, [382, 382, 16442, 382, 0, 382, 0, 0, 16754, 0, 0, 16754, 16754, 6644334700, 1335]),
+        (DbShape::Db1, JoinAlgo::Chj, 10, 90, [46, 46, 1843, 46, 0, 46, 0, 0, 1879, 0, 0, 1879, 1879, 972362000, 1716]),
+        (DbShape::Db1, JoinAlgo::Chj, 90, 10, [382, 382, 16442, 382, 0, 382, 0, 0, 16754, 0, 0, 16754, 16754, 7653104700, 1335]),
+        (DbShape::Db2, JoinAlgo::Nl, 10, 90, [19157, 19157, 12435, 19157, 0, 19157, 0, 0, 31554, 0, 0, 31554, 31554, 207524342000, 2247]),
+        (DbShape::Db2, JoinAlgo::Nl, 90, 10, [2159, 2159, 1353, 2159, 0, 2159, 0, 0, 3506, 0, 0, 3506, 3506, 23915238000, 2243]),
+        (DbShape::Db2, JoinAlgo::Nojoin, 10, 90, [2033, 2033, 3005, 2033, 0, 2033, 0, 0, 4787, 0, 239, 5026, 4787, 22835723500, 2247]),
+        (DbShape::Db2, JoinAlgo::Nojoin, 90, 10, [18109, 18109, 27217, 18109, 0, 18109, 0, 0, 41759, 0, 3475, 45234, 41759, 198573200800, 2243]),
+        (DbShape::Db2, JoinAlgo::Phj, 10, 90, [406, 406, 11157, 406, 0, 406, 0, 0, 11513, 0, 0, 11513, 11513, 46140326700, 2247]),
+        (DbShape::Db2, JoinAlgo::Phj, 90, 10, [552, 552, 23163, 552, 0, 552, 0, 0, 23617, 0, 0, 23617, 23617, 9623906400, 2243]),
+        (DbShape::Db2, JoinAlgo::Chj, 10, 90, [406, 406, 11157, 406, 0, 406, 0, 0, 11513, 0, 0, 11513, 11513, 6863851700, 2247]),
+        (DbShape::Db2, JoinAlgo::Chj, 90, 10, [552, 552, 23163, 552, 0, 552, 0, 0, 23617, 0, 0, 23617, 23617, 153554431400, 2243]),
+    ];
+    for shape in [DbShape::Db1, DbShape::Db2] {
+        let cfg = BuildConfig::scaled(shape, Organization::ClassClustered, 100);
+        let mut d = build(&cfg);
+        let (mut client_misses, mut server_misses) = (0, 0);
+        for &(_, algo, c, p, want) in EXPECTED.iter().filter(|e| e.0 == shape) {
+            let got = cell_fingerprint(&mut d, algo, c, p);
+            assert_eq!(got, want, "{shape:?} {algo:?} ({c},{p})");
+            client_misses = client_misses.max(got[3]);
+            server_misses = server_misses.max(got[5]);
+        }
+        // More cold misses than slots: both tiers evicted.
+        assert!(client_misses > cfg.cache.client_pages as u64);
+        assert!(server_misses > cfg.cache.server_pages as u64);
+        assert_eq!(d.store.live_handles(), 0, "{shape:?}: leaked handle pins");
+    }
+}
